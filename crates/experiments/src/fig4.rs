@@ -23,6 +23,9 @@ use crate::topology::{dispatch_time, light_cpu, service_time};
 /// The paper's x-axis.
 pub const CLIENT_COUNTS: &[usize] = &[10, 100, 200, 500, 1000, 1500, 2000];
 
+/// The thinned sweep `experiments --quick` runs.
+pub const QUICK_COUNTS: &[usize] = &[10, 100, 500, 2000];
+
 /// Accept limit of the 2004-era server host (the loss-onset knee sits
 /// between the paper's 100- and 500-connection points). Overflowing SYNs
 /// are silently dropped (full backlog), so each excess attempt costs the

@@ -21,6 +21,9 @@ use crate::topology::{dispatch_time, light_cpu, service_time};
 /// The paper's x-axis (0–300 connections).
 pub const CLIENT_COUNTS: &[usize] = &[1, 25, 50, 100, 150, 200, 250, 300];
 
+/// The thinned sweep `experiments --quick` runs.
+pub const QUICK_COUNTS: &[usize] = &[1, 100, 200, 300];
+
 /// Per-open-connection service-time penalty producing the post-plateau
 /// droop ("after 200 connections message throughput ... even gets
 /// slightly worsened due to contention").

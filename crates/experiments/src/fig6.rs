@@ -34,6 +34,9 @@ use crate::topology::{dispatch_time, light_cpu, service_time};
 /// The paper's x-axis (0–50 clients).
 pub const CLIENT_COUNTS: &[usize] = &[1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50];
 
+/// The thinned sweep `experiments --quick` runs.
+pub const QUICK_COUNTS: &[usize] = &[1, 10, 30, 50];
+
 /// The three plotted configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Series {

@@ -10,6 +10,7 @@
 //! | [`calibration`] | §4.3 link/host/message-size calibration table |
 //! | [`connwall`] | §4.3.2 connection wall, rerun on the threaded runtime's reactor |
 //! | [`fleet`] | scale-out extension — sharded fleet scaling + kill-one failover |
+//! | [`report`] | the `--json` document the figures above render into |
 //!
 //! Each module exposes a `run` function returning plain data (so the
 //! Criterion benches and integration tests reuse it) and a `print`
@@ -26,6 +27,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fleet;
+pub mod report;
 pub mod table1;
 pub mod topology;
 

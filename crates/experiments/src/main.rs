@@ -21,8 +21,10 @@
 //! through `wsd-telemetry` scopes, which never feed back into the
 //! simulation: the series are identical with or without observation.
 
-use wsd_experiments::{calibration, connwall, fig4, fig5, fig6, fleet, table1};
-use wsd_loadgen::{LatencySummary, RunTotals};
+use wsd_experiments::report::{
+    json_connwall, json_fig4, json_fig5, json_fig6, json_fig6_durable, json_fleet,
+};
+use wsd_experiments::{calibration, connwall, fig4, fig5, fig6, fleet, report, table1};
 use wsd_telemetry::Snapshot;
 
 struct Options {
@@ -155,166 +157,6 @@ fn print_telemetry_summary(fig: &str, snap: &Snapshot) {
     );
 }
 
-fn json_latency(l: &Option<LatencySummary>) -> String {
-    match l {
-        None => "null".to_string(),
-        Some(l) => format!(
-            "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
-            l.count, l.mean_us, l.p50_us, l.p95_us, l.max_us
-        ),
-    }
-}
-
-fn json_totals(t: &RunTotals) -> String {
-    format!(
-        "{{\"transmitted\":{},\"not_sent\":{},\"latency\":{}}}",
-        t.transmitted,
-        t.not_sent,
-        json_latency(&t.latency)
-    )
-}
-
-fn json_fig4(rows: &[fig4::Fig4Row], snap: &Snapshot) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"clients\":{},\"direct\":{},\"dispatched\":{}}}",
-                r.clients,
-                json_totals(&r.direct),
-                json_totals(&r.dispatched)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"rows\":[{}],\"telemetry\":{}}}",
-        rows.join(","),
-        snap.to_json()
-    )
-}
-
-fn json_fig5(rows: &[fig5::Fig5Row], snap: &Snapshot) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"clients\":{},\"direct_per_min\":{},\"dispatched_per_min\":{},\
-                 \"direct_not_sent\":{},\"dispatched_not_sent\":{}}}",
-                r.clients,
-                r.direct_per_min,
-                r.dispatched_per_min,
-                r.direct_not_sent,
-                r.dispatched_not_sent
-            )
-        })
-        .collect();
-    format!(
-        "{{\"rows\":[{}],\"telemetry\":{}}}",
-        rows.join(","),
-        snap.to_json()
-    )
-}
-
-fn json_fig6(rows: &[fig6::Fig6Row], snap: &Snapshot) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"clients\":{},\"direct_blocked_per_min\":{},\"dispatcher_per_min\":{},\
-                 \"msgbox_per_min\":{},\"responses_fetched\":{}}}",
-                r.clients,
-                r.direct_blocked_per_min,
-                r.dispatcher_per_min,
-                r.msgbox_per_min,
-                r.responses_fetched
-            )
-        })
-        .collect();
-    format!(
-        "{{\"rows\":[{}],\"telemetry\":{}}}",
-        rows.join(","),
-        snap.to_json()
-    )
-}
-
-fn json_fig6_durable(o: &fig6::DurabilityOutcome) -> String {
-    let rows: Vec<String> = o
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"clients\":{},\"memory_oom\":{},\"memory_deposits\":{},\
-                 \"durable_oom\":{},\"durable_deposits\":{},\"durable_spilled_bytes\":{}}}",
-                r.clients,
-                r.memory_oom,
-                r.memory_deposits,
-                r.durable_oom,
-                r.durable_deposits,
-                r.durable_spilled_bytes
-            )
-        })
-        .collect();
-    let wall = |w: Option<usize>| w.map(|c| c.to_string()).unwrap_or_else(|| "null".to_string());
-    format!(
-        "{{\"rows\":[{}],\"memory_wall_clients\":{},\"durable_wall_clients\":{}}}",
-        rows.join(","),
-        wall(o.memory_wall_clients),
-        wall(o.durable_wall_clients)
-    )
-}
-
-fn json_connwall(o: &connwall::ConnWallOutcome) -> String {
-    let point = |p: &connwall::ConnWallPoint| {
-        format!(
-            "{{\"clients\":{},\"crashed\":{},\"peak_threads\":{},\"deposits\":{},\"open_conns\":{}}}",
-            p.clients,
-            p.crashed,
-            p.peak_threads,
-            p.deposits,
-            p.open_conns
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-        )
-    };
-    let tpm: Vec<String> = o.thread_per_message.iter().map(point).collect();
-    let reactor: Vec<String> = o.reactor.iter().map(point).collect();
-    format!(
-        "{{\"thread_budget\":{},\"pool_workers\":{},\"thread_per_message\":[{}],\"reactor\":[{}]}}",
-        connwall::THREAD_BUDGET,
-        connwall::POOL_WORKERS,
-        tpm.join(","),
-        reactor.join(",")
-    )
-}
-
-fn json_fleet(rows: &[fleet::FleetScaleRow], f: &fleet::FailoverOutcome) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"instances\":{},\"generated\":{},\"acked\":{},\"shed\":{},\
-                 \"delivered\":{},\"delivered_per_sec\":{:.1}}}",
-                r.instances, r.generated, r.acked, r.shed, r.delivered, r.delivered_per_sec
-            )
-        })
-        .collect();
-    format!(
-        "{{\"scaling\":[{}],\"failover\":{{\"instances\":{},\"killed\":{},\"acked\":{},\
-         \"delivered\":{},\"acked_lost\":{},\"duplicates\":{},\"recovered\":{},\
-         \"resent\":{},\"rebalance_latency_us\":{}}}}}",
-        rows.join(","),
-        f.instances,
-        f.killed,
-        f.acked,
-        f.delivered,
-        f.acked_lost,
-        f.duplicates,
-        f.recovered,
-        f.resent,
-        f.rebalance_latency_us
-    )
-}
-
 fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -339,7 +181,7 @@ fn main() {
     }
     if opts.fig4 {
         let counts: &[usize] = if opts.quick {
-            &[10, 100, 500, 2000]
+            fig4::QUICK_COUNTS
         } else {
             fig4::CLIENT_COUNTS
         };
@@ -351,7 +193,7 @@ fn main() {
     }
     if opts.fig5 {
         let counts: &[usize] = if opts.quick {
-            &[1, 100, 200, 300]
+            fig5::QUICK_COUNTS
         } else {
             fig5::CLIENT_COUNTS
         };
@@ -363,7 +205,7 @@ fn main() {
     }
     if opts.fig6 {
         let counts: &[usize] = if opts.quick {
-            &[1, 10, 30, 50]
+            fig6::QUICK_COUNTS
         } else {
             fig6::CLIENT_COUNTS
         };
@@ -411,15 +253,7 @@ fn main() {
         println!();
     }
     if let Some(path) = &opts.json {
-        let figs: Vec<String> = json_figures
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        let doc = format!(
-            "{{\"seconds\":{},\"figures\":{{{}}}}}\n",
-            opts.seconds,
-            figs.join(",")
-        );
+        let doc = report::document(opts.seconds, &json_figures);
         // wsd-lint: allow(raw-file-io): figure JSON is a report artifact, not durable state
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("error: writing {path}: {e}");
