@@ -32,16 +32,10 @@ pub struct DispatcherConfig {
     pub ws_max_threads: usize,
     /// Capacity of each destination's FIFO queue.
     pub queue_capacity: usize,
-    /// How many queued envelopes a `WsThread` coalesces per drain pass:
-    /// one serialization buffer, one write, one flush over the kept-open
-    /// connection, then the responses are read back in order.
-    pub drain_batch: usize,
     /// How long a `WsThread` keeps a destination connection open with no
     /// traffic before closing it (paper: "an open connection for a
     /// predefined time with a specified WS").
     pub connection_linger: Duration,
-    /// Connect timeout toward services and reply endpoints.
-    pub connect_timeout: Duration,
     /// Response timeout for RPC forwarding.
     pub response_timeout: Duration,
     /// How long a route-table entry (forwarded request awaiting its
@@ -61,9 +55,7 @@ impl Default for DispatcherConfig {
             ws_core_threads: 4,
             ws_max_threads: 32,
             queue_capacity: 1024,
-            drain_batch: 16,
             connection_linger: Duration::from_secs(15),
-            connect_timeout: Duration::from_secs(3),
             response_timeout: Duration::from_secs(30),
             route_ttl: Duration::from_secs(300),
             front_end: ConnFrontEnd::default(),
@@ -222,7 +214,6 @@ mod tests {
         assert!(d.cx_core_threads <= d.cx_max_threads);
         assert!(d.ws_core_threads <= d.ws_max_threads);
         assert!(d.queue_capacity > 0);
-        assert!(d.drain_batch > 0);
         let m = MsgBoxConfig::default();
         assert!(matches!(m.strategy, MsgBoxStrategy::Pooled { workers } if workers > 0));
         assert!(m.thread_budget > 0);

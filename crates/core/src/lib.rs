@@ -16,13 +16,13 @@
 //! * [`msg`] — the MSG-Dispatcher core: WS-Addressing header rewriting,
 //!   the route table correlating replies to forwarded requests, and the
 //!   per-destination FIFO ordering contract.
+//! * [`drain`] — the `WsThread` drain both runtimes drive, with the
+//!   paper's hold/retry delivery future work.
 //! * [`msgbox`] — WS-MsgBox, the "post-office mailbox" for clients with
 //!   no inbound endpoint: create / deposit / fetch / destroy, with access
 //!   keys and message expiry.
 //! * [`security`] — the message-inspection hook (size limits, required
 //!   actions, single-sign-on tokens).
-//! * [`reliable`] — hold/retry delivery with expiration (the paper's
-//!   WS-ReliableMessaging-ish future work).
 //!
 //! # Runtimes
 //!
@@ -37,13 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod drain;
 pub mod error;
 pub mod msg;
 pub mod msgbox;
 pub mod registry;
 pub mod registry_repl;
 pub mod registry_soap;
-pub mod reliable;
 pub mod rpc;
 pub mod rt;
 pub mod security;

@@ -4,8 +4,10 @@
 //! physical WS address and rewrites the WS-Addressing headers so replies
 //! return through the dispatcher; a `WsThread` owns a FIFO queue per
 //! destination and a kept-open connection. This module implements the
-//! decision ("where does this envelope go next?") and the route table
-//! correlating replies; queues and threads belong to the runtimes.
+//! decision ("where does this envelope go next?"), the route table
+//! correlating replies, and the quadrant-3 translation of a synchronous
+//! answer ([`correlate_rpc_reply`]); the `WsThread` queues are
+//! [`crate::drain`]'s, the threads the runtimes'.
 
 use std::borrow::Cow;
 
@@ -113,21 +115,6 @@ impl CoreTelemetry {
             fastpath_fallbacks: scope.counter("fastpath_fallbacks"),
         }
     }
-}
-
-/// Stats the MSG dispatcher keeps.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MsgDispatchStats {
-    /// Envelopes accepted.
-    pub received: u64,
-    /// Requests routed toward services.
-    pub forwarded: u64,
-    /// Replies routed toward clients/mailboxes.
-    pub replied: u64,
-    /// Envelopes with no usable route.
-    pub unroutable: u64,
-    /// Security rejections.
-    pub rejected: u64,
 }
 
 /// A route-table entry: the [`RouteRecord`] plus its insertion time (µs)
@@ -438,6 +425,24 @@ impl MsgCore {
     }
 }
 
+/// Table 1 quadrant 3: turns an RPC-style service's synchronous answer
+/// `xml` into a reply message correlated to the forwarded request's
+/// `request_id` — as is when it already carries `RelatesTo`, else with
+/// `RelatesTo` added. `None` when `xml` is not a SOAP envelope.
+pub fn correlate_rpc_reply<'a>(xml: &'a str, request_id: &str) -> Option<Cow<'a, str>> {
+    if wsd_wsa::scan(xml).is_some_and(|s| s.correlation_id().is_some()) {
+        return Some(Cow::Borrowed(xml));
+    }
+    let mut env = Envelope::parse(xml).ok()?;
+    if let Ok(mut h) = WsaHeaders::from_envelope(&env) {
+        if h.relates_to.is_empty() && !request_id.is_empty() {
+            h.relates_to.push((request_id.to_string(), None));
+            h.apply(&mut env);
+        }
+    }
+    Some(Cow::Owned(env.to_xml()))
+}
+
 impl std::fmt::Debug for MsgCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MsgCore")
@@ -720,5 +725,24 @@ mod tests {
             }
         }
         assert_eq!(hosts.len(), 2, "both endpoints must be used");
+    }
+
+    #[test]
+    fn rpc_reply_is_correlated_to_its_request() {
+        let xml = soap_rpc::echo_response(SoapVersion::V11, "pong").to_xml();
+        let reply = correlate_rpc_reply(&xml, "uuid:req-7").unwrap();
+        let env = Envelope::parse(&reply).unwrap();
+        assert_eq!(correlation_id(&env).unwrap().as_deref(), Some("uuid:req-7"));
+        // A reply the service already correlated routes untouched.
+        let mut answered = soap_rpc::echo_response(SoapVersion::V11, "pong");
+        WsaHeaders::new()
+            .relates_to("uuid:own")
+            .apply(&mut answered);
+        let xml = answered.to_xml();
+        assert!(matches!(
+            correlate_rpc_reply(&xml, "uuid:req-7"),
+            Some(Cow::Borrowed(_))
+        ));
+        assert!(correlate_rpc_reply("not soap", "uuid:req-7").is_none());
     }
 }

@@ -9,95 +9,97 @@
 //! a destination over one connection which is more efficient than
 //! opening multiple short lived connections").
 //!
-//! A `WsThread` whose destination is unreachable (a firewalled client)
-//! holds its pool slot through the connect timeout and retry backoff —
-//! which is exactly how undeliverable replies starve request forwarding
-//! and produce the middle curve of Figure 6.
+//! Each destination is a [`WsDrain`], the drain the threaded runtime runs
+//! too; the slot pool and idle linger are this actor's own (a drained
+//! destination frees its slot; only its connection lingers). A `WsThread`
+//! toward an unreachable (firewalled) client holds its slot through the
+//! connect timeout and retry backoff — exactly how undeliverable replies
+//! starve request forwarding in Figure 6's middle curve.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
-use wsd_soap::{Envelope, SoapVersion};
+use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, EventTrace, Gauge, Scope, TraceStage};
 
-use crate::msg::{MsgCore, RoutedRaw};
-use crate::reliable::RetryPolicy;
+use crate::drain::{Next, WsDrain};
+use crate::msg::{correlate_rpc_reply, MsgCore, RoutedRaw};
 use crate::sim::{request_payload, response_payload, CpuQueue};
 use crate::url::Url;
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    received: u64,
-    acked: u64,
-    forwarded: u64,
-    replies_routed: u64,
-    delivered: u64,
-    dropped: u64,
-    rejected: u64,
-    peak_active_threads: usize,
-}
-
-/// Live counters of a [`SimMsgDispatcher`].
+/// Live counters of a [`SimMsgDispatcher`]: its telemetry instruments.
 #[derive(Debug, Clone, Default)]
 pub struct MsgDispatcherStats {
-    inner: Rc<RefCell<StatsInner>>,
+    received: Counter,
+    acked: Counter,
+    forwarded: Counter,
+    replies_routed: Counter,
+    delivered: Counter,
+    dropped: Counter,
+    rejected: Counter,
+    active_threads: Gauge,
 }
 
 impl MsgDispatcherStats {
+    fn new(scope: &Scope) -> Self {
+        MsgDispatcherStats {
+            received: scope.counter("received"),
+            acked: scope.counter("acked"),
+            forwarded: scope.counter("forwarded"),
+            replies_routed: scope.counter("replies_routed"),
+            delivered: scope.counter("delivered"),
+            dropped: scope.counter("dropped"),
+            rejected: scope.counter("rejected"),
+            active_threads: scope.gauge("active_threads"),
+        }
+    }
+
     /// Messages read off client connections.
     pub fn received(&self) -> u64 {
-        self.inner.borrow().received
+        self.received.get()
     }
     /// `202 Accepted` acks sent.
     pub fn acked(&self) -> u64 {
-        self.inner.borrow().acked
+        self.acked.get()
     }
     /// Requests routed toward services.
     pub fn forwarded(&self) -> u64 {
-        self.inner.borrow().forwarded
+        self.forwarded.get()
     }
     /// Replies routed toward clients/mailboxes.
     pub fn replies_routed(&self) -> u64 {
-        self.inner.borrow().replies_routed
+        self.replies_routed.get()
     }
     /// Messages actually written to a destination connection.
     pub fn delivered(&self) -> u64 {
-        self.inner.borrow().delivered
+        self.delivered.get()
     }
     /// Messages dropped (queue overflow or delivery given up).
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.dropped.get()
     }
     /// Messages rejected by routing or security.
     pub fn rejected(&self) -> u64 {
-        self.inner.borrow().rejected
+        self.rejected.get()
     }
     /// High-water mark of concurrently busy `WsThread`s.
     pub fn peak_active_threads(&self) -> usize {
-        self.inner.borrow().peak_active_threads
+        self.active_threads.peak() as usize
     }
 }
 
-/// `WsThread`-stage tuning.
+/// `WsThread`-stage tuning (batching and hold/retry: [`crate::drain`]).
 #[derive(Debug, Clone)]
 pub struct WsThreadConfig {
     /// Sender-thread pool size.
     pub threads: usize,
     /// Per-destination queue capacity.
     pub queue_capacity: usize,
-    /// How many queued envelopes one connection visit coalesces (the
-    /// threaded runtime's buffered-batch write, mirrored as bookkeeping:
-    /// virtual send times are unchanged, only `drain_batches` counts it).
-    pub drain_batch: usize,
     /// Connect timeout toward destinations.
     pub connect_timeout: SimDuration,
     /// Idle time before a kept-open destination connection is closed.
     pub linger: SimDuration,
-    /// Hold/retry policy for unreachable destinations.
-    pub retry: RetryPolicy,
     /// How long a forwarded request's route-table entry awaits its reply
     /// before the janitor drops it.
     pub route_ttl: SimDuration,
@@ -108,15 +110,8 @@ impl Default for WsThreadConfig {
         WsThreadConfig {
             threads: 16,
             queue_capacity: 256,
-            drain_batch: 16,
             connect_timeout: SimDuration::from_secs(3),
             linger: SimDuration::from_secs(15),
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_backoff_us: 500_000,
-                max_backoff_us: 5_000_000,
-                ttl_us: 60_000_000,
-            },
             route_ttl: SimDuration::from_secs(300),
         }
     }
@@ -124,40 +119,32 @@ impl Default for WsThreadConfig {
 
 type DestKey = (String, u16);
 
-/// Telemetry handles mirroring [`MsgDispatcherStats`] into a registry,
-/// plus per-destination queue-depth gauges and message-lifecycle trace
-/// events keyed by WS-Addressing `MessageID`. Built from a
-/// [`Scope::noop`] by default, so unobserved runs record into thin air.
+/// A queued envelope: its `MessageID` and its serialized request.
+type Queued = (String, Payload);
+
+/// Instruments: the [`MsgDispatcherStats`], queue and batch counters,
+/// per-destination queue-depth gauges, and lifecycle trace events keyed
+/// by `MessageID`. A [`Scope::noop`] by default.
 struct DispatcherTelemetry {
     scope: Scope,
     trace: EventTrace,
-    received: Counter,
-    acked: Counter,
-    forwarded: Counter,
-    replies_routed: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    rejected: Counter,
+    stats: MsgDispatcherStats,
+    active_threads: Gauge,
     enqueued: Counter,
     drain_batches: Counter,
-    active_threads: Gauge,
     dest_queue_depth: HashMap<DestKey, Gauge>,
 }
 
 impl DispatcherTelemetry {
     fn new(scope: &Scope) -> Self {
+        let stats = MsgDispatcherStats::new(scope);
         DispatcherTelemetry {
             trace: scope.trace(),
-            received: scope.counter("received"),
-            acked: scope.counter("acked"),
-            forwarded: scope.counter("forwarded"),
-            replies_routed: scope.counter("replies_routed"),
-            delivered: scope.counter("delivered"),
-            dropped: scope.counter("dropped"),
-            rejected: scope.counter("rejected"),
+            // The same cell the stats read, also when unregistered.
+            active_threads: stats.active_threads.clone(),
+            stats,
             enqueued: scope.counter("queue_enqueued"),
             drain_batches: scope.counter("drain_batches"),
-            active_threads: scope.gauge("active_threads"),
             dest_queue_depth: HashMap::new(),
             scope: scope.clone(),
         }
@@ -179,42 +166,12 @@ impl DispatcherTelemetry {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DestConn {
-    Idle,
-    Connecting(ConnId),
-    Ready(ConnId),
-    Backoff,
-}
-
 struct Dest {
-    #[allow(dead_code)] // kept for diagnostics/Debug
-    path_hint: String,
-    queue: VecDeque<(String, Payload)>,
-    conn: DestConn,
+    drain: WsDrain<Queued, ConnId>,
     has_thread: bool,
-    attempts: u32,
+    /// Bumped per drained queue: a linger timer only closes the
+    /// connection if no traffic came since it was armed.
     generation: u64,
-    /// Message ids written to the connection, awaiting their HTTP
-    /// responses in order — the state behind the paper's Table 1
-    /// quadrant 3: when an *RPC* service answers `200` with a SOAP body,
-    /// the dispatcher translates it into a reply message correlated to
-    /// the oldest outstanding id.
-    outstanding: VecDeque<String>,
-}
-
-impl Dest {
-    fn new(path_hint: String) -> Self {
-        Dest {
-            path_hint,
-            queue: VecDeque::new(),
-            conn: DestConn::Idle,
-            has_thread: false,
-            attempts: 0,
-            generation: 0,
-            outstanding: VecDeque::new(),
-        }
-    }
 }
 
 /// The MSG-Dispatcher as a simulation actor.
@@ -224,7 +181,6 @@ pub struct SimMsgDispatcher {
     /// `CxThread` CPU cost per routed message.
     dispatch_time: SimDuration,
     cpu: CpuQueue,
-    stats: MsgDispatcherStats,
     next_token: u64,
     /// Routing work waiting for CPU: token → (conn to answer on, raw
     /// bytes). Translated RPC responses re-enter here with no answer
@@ -234,8 +190,8 @@ pub struct SimMsgDispatcher {
     active_threads: usize,
     /// Destinations with work, waiting for a free `WsThread`.
     waiting: VecDeque<DestKey>,
-    connecting: HashMap<ConnId, DestKey>,
-    ready_conns: HashMap<ConnId, DestKey>,
+    /// Connections to destinations, connecting or ready.
+    dest_conns: HashMap<ConnId, DestKey>,
     backoff_timers: HashMap<u64, DestKey>,
     linger_timers: HashMap<u64, (DestKey, u64)>,
     /// Token of the pending route-table janitor tick (armed lazily so an
@@ -253,14 +209,12 @@ impl SimMsgDispatcher {
             config,
             dispatch_time,
             cpu: CpuQueue::default(),
-            stats: MsgDispatcherStats::default(),
             next_token: 0,
             routing: HashMap::new(),
             dests: HashMap::new(),
             active_threads: 0,
             waiting: VecDeque::new(),
-            connecting: HashMap::new(),
-            ready_conns: HashMap::new(),
+            dest_conns: HashMap::new(),
             backoff_timers: HashMap::new(),
             linger_timers: HashMap::new(),
             janitor_token: 0,
@@ -269,7 +223,7 @@ impl SimMsgDispatcher {
         }
     }
 
-    /// Attaches telemetry: counters mirroring [`MsgDispatcherStats`], an
+    /// Attaches telemetry: the [`MsgDispatcherStats`] counters, an
     /// `active_threads` gauge, per-destination `dest{host:port}.queue_depth`
     /// gauges, and message-lifecycle trace events.
     pub fn with_telemetry(mut self, scope: &Scope) -> Self {
@@ -280,7 +234,7 @@ impl SimMsgDispatcher {
 
     /// A handle to the live counters.
     pub fn stats(&self) -> MsgDispatcherStats {
-        self.stats.clone()
+        self.tele.stats.clone()
     }
 
     fn token(&mut self) -> u64 {
@@ -307,8 +261,7 @@ impl SimMsgDispatcher {
             .map(|xml| self.core.route_raw(xml, raw.len(), ctx.now().as_micros()));
         match routed {
             Some(Ok(RoutedRaw::Forward { to, body, message_id, .. })) => {
-                self.stats.inner.borrow_mut().forwarded += 1;
-                self.tele.forwarded.inc();
+                self.tele.stats.forwarded.inc();
                 if let Some(conn) = client_conn {
                     self.ack(ctx, conn);
                 }
@@ -316,16 +269,14 @@ impl SimMsgDispatcher {
                 self.arm_janitor(ctx);
             }
             Some(Ok(RoutedRaw::Reply { to, body, message_id })) => {
-                self.stats.inner.borrow_mut().replies_routed += 1;
-                self.tele.replies_routed.inc();
+                self.tele.stats.replies_routed.inc();
                 if let Some(conn) = client_conn {
                     self.ack(ctx, conn);
                 }
                 self.enqueue(ctx, &to, body, message_id);
             }
             Some(Err(_)) | None => {
-                self.stats.inner.borrow_mut().rejected += 1;
-                self.tele.rejected.inc();
+                self.tele.stats.rejected.inc();
                 if let Some(conn) = client_conn {
                     let resp = Response::empty(Status::BAD_REQUEST);
                     let _ = ctx.send(conn, response_payload(&resp));
@@ -337,8 +288,7 @@ impl SimMsgDispatcher {
     fn ack(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         let ack = Response::empty(Status::ACCEPTED);
         if ctx.send(conn, response_payload(&ack)).is_ok() {
-            self.stats.inner.borrow_mut().acked += 1;
-            self.tele.acked.inc();
+            self.tele.stats.acked.inc();
         }
     }
 
@@ -354,23 +304,24 @@ impl SimMsgDispatcher {
         let payload = request_payload(&req);
         let key = (to.host.clone(), to.port);
         let cap = self.config.queue_capacity;
-        let dest = self
-            .dests
-            .entry(key.clone())
-            .or_insert_with(|| Dest::new(to.path.clone()));
-        if dest.queue.len() >= cap {
-            self.stats.inner.borrow_mut().dropped += 1;
-            self.tele.dropped.inc();
-            self.tele
-                .stage(&msg_id, TraceStage::Dropped, ctx.now().as_micros());
-            return;
+        let now_us = ctx.now().as_micros();
+        let dest = self.dests.entry(key.clone()).or_insert_with(|| Dest {
+            drain: WsDrain::new(cap),
+            has_thread: false,
+            generation: 0,
+        });
+        match dest.drain.push((msg_id, payload)) {
+            Ok((msg_id, _)) => {
+                self.tele.stage(msg_id, TraceStage::Rewritten, now_us);
+                self.tele.stage(msg_id, TraceStage::Enqueued, now_us);
+            }
+            Err((msg_id, _)) => {
+                self.tele.stats.dropped.inc();
+                self.tele.stage(&msg_id, TraceStage::Dropped, now_us);
+                return;
+            }
         }
-        self.tele
-            .stage(&msg_id, TraceStage::Rewritten, ctx.now().as_micros());
-        self.tele
-            .stage(&msg_id, TraceStage::Enqueued, ctx.now().as_micros());
-        dest.queue.push_back((msg_id, payload));
-        let depth = dest.queue.len();
+        let depth = dest.drain.queued();
         self.tele.enqueued.inc();
         self.tele.dest_queue_depth(&key).set(depth as i64);
         self.schedule_dest(ctx, key);
@@ -381,20 +332,24 @@ impl SimMsgDispatcher {
         let Some(dest) = self.dests.get_mut(&key) else {
             return;
         };
-        if dest.has_thread || dest.queue.is_empty() {
+        if dest.has_thread || dest.drain.queued() == 0 {
             return;
         }
         if self.active_threads < self.config.threads {
-            dest.has_thread = true;
-            self.active_threads += 1;
-            let mut s = self.stats.inner.borrow_mut();
-            s.peak_active_threads = s.peak_active_threads.max(self.active_threads);
-            drop(s);
-            self.tele.active_threads.set(self.active_threads as i64);
-            self.work_dest(ctx, key);
+            self.take_slot(ctx, key);
         } else if !self.waiting.contains(&key) {
             self.waiting.push_back(key);
         }
+    }
+
+    /// Gives `key` a `WsThread` slot and sets it to work.
+    fn take_slot(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
+        if let Some(dest) = self.dests.get_mut(&key) {
+            dest.has_thread = true;
+        }
+        self.active_threads += 1;
+        self.tele.active_threads.set(self.active_threads as i64);
+        self.work_dest(ctx, key);
     }
 
     /// Advances a destination that owns a thread.
@@ -402,67 +357,68 @@ impl SimMsgDispatcher {
         let Some(dest) = self.dests.get_mut(&key) else {
             return;
         };
-        match dest.conn {
-            DestConn::Ready(conn) => self.flush(ctx, key, conn),
-            DestConn::Idle => {
+        match dest.drain.next_step() {
+            Next::Write => self.flush(ctx, key),
+            Next::Connect => {
                 let conn = ctx.connect(&key.0, key.1, self.config.connect_timeout);
-                dest.conn = DestConn::Connecting(conn);
-                self.connecting.insert(conn, key);
+                self.dest_conns.insert(conn, key);
             }
-            // Connecting/Backoff: progress arrives via events/timers.
-            DestConn::Connecting(_) | DestConn::Backoff => {}
+            Next::GiveUp => self.give_up(ctx, key),
+            // Progress arrives via connect events and backoff timers.
+            Next::Idle => {}
         }
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_>, key: DestKey, conn: ConnId) {
+    /// Drops an unreachable destination's queue and frees its slot.
+    fn give_up(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
+        if let Some(dest) = self.dests.get_mut(&key) {
+            let now_us = ctx.now().as_micros();
+            let mut n = 0u64;
+            for (msg_id, _) in dest.drain.give_up() {
+                self.tele.stage(&msg_id, TraceStage::Dropped, now_us);
+                n += 1;
+            }
+            self.tele.stats.dropped.add(n);
+            self.tele.dest_queue_depth(&key).set(0);
+        }
+        self.release_thread(ctx, &key);
+    }
+
+    /// Writes the queue to the ready connection, each message its own
+    /// send at one instant: batches are bookkeeping only.
+    fn flush(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
         let Some(dest) = self.dests.get_mut(&key) else {
             return;
         };
         let mut sent = 0u64;
         let mut batches = 0u64;
-        let mut broken = false;
+        let mut broken = None;
         let now_us = ctx.now().as_micros();
-        let max = self.config.drain_batch.max(1);
-        // Coalesce up to `drain_batch` envelopes per connection visit,
-        // mirroring the threaded runtime's single-flush batches. This is
-        // bookkeeping only: every message is still its own simulated
-        // write at the same virtual instant, so event timing (and every
-        // figure) is unchanged.
-        'batches: while !dest.queue.is_empty() {
-            let mut in_batch = 0usize;
-            while in_batch < max {
-                let Some((msg_id, payload)) = dest.queue.pop_front() else {
-                    break;
-                };
-                if ctx.send(conn, payload.clone()).is_ok() {
-                    self.tele.stage(&msg_id, TraceStage::Drained, now_us);
-                    self.tele.stage(&msg_id, TraceStage::Delivered, now_us);
-                    dest.outstanding.push_back(msg_id);
-                    sent += 1;
-                    in_batch += 1;
-                } else {
-                    // Connection died under us: requeue and reconnect.
-                    dest.queue.push_front((msg_id, payload));
-                    broken = true;
+        while let Some((&mut conn, batch)) = dest.drain.write_batch() {
+            // Sends check the connection table as of this event's start:
+            // a batch goes out whole or not at all.
+            for (msg_id, payload) in batch {
+                if ctx.send(conn, payload.clone()).is_err() {
+                    broken = Some(conn);
                     break;
                 }
+                self.tele.stage(msg_id, TraceStage::Drained, now_us);
+                self.tele.stage(msg_id, TraceStage::Delivered, now_us);
             }
-            if in_batch > 0 {
-                batches += 1;
+            if broken.is_some() {
+                dest.drain.conn_lost();
+                break;
             }
-            if broken {
-                break 'batches;
-            }
+            sent += dest.drain.written() as u64;
+            batches += 1;
         }
-        let depth = dest.queue.len();
-        self.stats.inner.borrow_mut().delivered += sent;
-        self.tele.delivered.add(sent);
+        let depth = dest.drain.queued();
+        self.tele.stats.delivered.add(sent);
         self.tele.drain_batches.add(batches);
         self.tele.dest_queue_depth(&key).set(depth as i64);
-        if broken {
-            self.ready_conns.remove(&conn);
-            let dest = self.dests.get_mut(&key).expect("dest exists");
-            dest.conn = DestConn::Idle;
+        if let Some(conn) = broken {
+            // The connection died under us: reconnect.
+            self.dest_conns.remove(&conn);
             self.work_dest(ctx, key);
             return;
         }
@@ -487,51 +443,21 @@ impl SimMsgDispatcher {
         self.tele.active_threads.set(self.active_threads as i64);
         // Hand the slot to the next waiting destination with work.
         while let Some(next) = self.waiting.pop_front() {
-            let ready = self
-                .dests
-                .get(&next)
-                .map(|d| !d.queue.is_empty() && !d.has_thread)
-                .unwrap_or(false);
-            if ready {
-                let dest = self.dests.get_mut(&next).expect("checked");
-                dest.has_thread = true;
-                self.active_threads += 1;
-                let mut s = self.stats.inner.borrow_mut();
-                s.peak_active_threads = s.peak_active_threads.max(self.active_threads);
-                drop(s);
-                self.tele.active_threads.set(self.active_threads as i64);
-                self.work_dest(ctx, next);
+            let has_work = |d: &Dest| d.drain.queued() > 0 && !d.has_thread;
+            if self.dests.get(&next).is_some_and(has_work) {
+                self.take_slot(ctx, next);
                 break;
             }
         }
     }
 
-    /// Handles an HTTP response arriving on a destination connection.
-    fn on_dest_response(&mut self, ctx: &mut Ctx<'_>, key: DestKey, bytes: Payload) {
-        let outstanding = match self.dests.get_mut(&key) {
-            Some(dest) => dest.outstanding.pop_front(),
-            None => None,
-        };
-        let Ok(resp) = wsd_http::parse_response_bytes(&bytes) else {
-            return;
-        };
-        if resp.status.0 != 200 {
-            return; // plain ack (202) or error — nothing to translate
-        }
-        let Ok(mut env) = Envelope::parse(&resp.body_utf8()) else {
-            return;
-        };
-        // Correlate to the request this response answers, unless the
-        // service already did.
-        if let (Some(id), Ok(mut h)) = (
-            outstanding.filter(|id| !id.is_empty()),
-            wsd_wsa::WsaHeaders::from_envelope(&env),
-        ) {
-            if h.relates_to.is_empty() {
-                h.relates_to.push((id, None));
-                h.apply(&mut env);
-            }
-        }
+    /// A destination's response: a `200` from an *RPC* service becomes a
+    /// reply correlated to its request (Table 1 quadrant 3).
+    fn on_dest_response(&mut self, ctx: &mut Ctx<'_>, key: DestKey, bytes: Payload) -> Option<()> {
+        let resp = wsd_http::parse_response_bytes(&bytes).ok();
+        let status = resp.as_ref().map_or(0, |r| r.status.0);
+        let (request_id, _) = self.dests.get_mut(&key)?.drain.answered(status)?;
+        let reply = correlate_rpc_reply(resp.as_ref()?.body_str()?, &request_id)?;
         // Translation costs CxThread CPU like any inbound message — this
         // is why Table 1 calls the RPC server "a bottleneck (translation
         // of semantics from messaging to RPC)".
@@ -539,29 +465,14 @@ impl SimMsgDispatcher {
             "translated",
             "/msg",
             SoapVersion::V11.content_type(),
-            env.to_xml().into_bytes(),
+            reply.into_owned().into_bytes(),
         );
         let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
         let token = self.token();
         self.routing
             .insert(token, (None, request_payload(&synthetic)));
         ctx.set_timer(done_at.since(ctx.now()), token);
-    }
-
-    fn give_up(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
-        if let Some(dest) = self.dests.get_mut(&key) {
-            let n = dest.queue.len() as u64;
-            let now_us = ctx.now().as_micros();
-            for (msg_id, _) in dest.queue.drain(..) {
-                self.tele.stage(&msg_id, TraceStage::Dropped, now_us);
-            }
-            dest.conn = DestConn::Idle;
-            dest.attempts = 0;
-            self.stats.inner.borrow_mut().dropped += n;
-            self.tele.dropped.add(n);
-            self.tele.dest_queue_depth(&key).set(0);
-        }
-        self.release_thread(ctx, &key);
+        Some(())
     }
 }
 
@@ -570,16 +481,11 @@ impl Process for SimMsgDispatcher {
         match event {
             ProcEvent::Start | ProcEvent::ConnAccepted { .. } => {}
             ProcEvent::Message { conn, bytes } => {
-                if let Some(key) = self.ready_conns.get(&conn).cloned() {
-                    // A response from a destination. `202` is a plain
-                    // ack; `200` with a SOAP body is an *RPC* service
-                    // answering synchronously — translate it into a reply
-                    // message (Table 1 quadrant 3).
+                if let Some(key) = self.dest_conns.get(&conn).cloned() {
                     self.on_dest_response(ctx, key, bytes);
                     return;
                 }
-                self.stats.inner.borrow_mut().received += 1;
-                self.tele.received.inc();
+                self.tele.stats.received.inc();
                 let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
                 let token = self.token();
                 self.routing.insert(token, (Some(conn), bytes));
@@ -598,17 +504,14 @@ impl Process for SimMsgDispatcher {
                     self.route_now(ctx, conn, raw);
                 } else if let Some(key) = self.backoff_timers.remove(&token) {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        if dest.conn == DestConn::Backoff {
-                            dest.conn = DestConn::Idle;
-                            self.work_dest(ctx, key);
-                        }
+                        dest.drain.backoff_elapsed();
+                        self.work_dest(ctx, key);
                     }
                 } else if let Some((key, generation)) = self.linger_timers.remove(&token) {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        if dest.generation == generation && dest.queue.is_empty() {
-                            if let DestConn::Ready(conn) = dest.conn {
-                                dest.conn = DestConn::Idle;
-                                self.ready_conns.remove(&conn);
+                        if dest.generation == generation {
+                            if let Some(conn) = dest.drain.close() {
+                                self.dest_conns.remove(&conn);
                                 ctx.close(conn);
                             }
                         }
@@ -616,40 +519,36 @@ impl Process for SimMsgDispatcher {
                 }
             }
             ProcEvent::ConnEstablished { conn } => {
-                if let Some(key) = self.connecting.remove(&conn) {
+                if let Some(key) = self.dest_conns.get(&conn).cloned() {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.conn = DestConn::Ready(conn);
-                        dest.attempts = 0;
-                        self.ready_conns.insert(conn, key.clone());
+                        dest.drain.connected(conn);
                         if dest.has_thread {
-                            self.flush(ctx, key, conn);
+                            self.flush(ctx, key);
                         }
                     }
                 }
             }
             ProcEvent::ConnRefused { conn, .. } => {
-                if let Some(key) = self.connecting.remove(&conn) {
-                    let retry = self.config.retry;
+                if let Some(key) = self.dest_conns.remove(&conn) {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.attempts += 1;
-                        match retry.backoff_before(dest.attempts + 1) {
-                            Some(backoff) => {
-                                // Hold the thread through the backoff —
-                                // this is the blocked-WsThread behaviour.
-                                dest.conn = DestConn::Backoff;
+                        match dest.drain.connect_failed() {
+                            // Hold the thread through the backoff — this
+                            // is the blocked-WsThread behaviour.
+                            Some(backoff_us) => {
                                 let token = self.token();
                                 self.backoff_timers.insert(token, key);
-                                ctx.set_timer(SimDuration::from_micros(backoff), token);
+                                ctx.set_timer(SimDuration::from_micros(backoff_us), token);
                             }
-                            None => self.give_up(ctx, key),
+                            None => self.work_dest(ctx, key),
                         }
                     }
                 }
             }
             ProcEvent::ConnClosed { conn } => {
-                if let Some(key) = self.ready_conns.remove(&conn) {
+                if let Some(key) = self.dest_conns.remove(&conn) {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.conn = DestConn::Idle;
+                        // Unanswered messages go back to the queue.
+                        dest.drain.conn_lost();
                         if dest.has_thread {
                             self.work_dest(ctx, key.clone());
                         }
@@ -666,10 +565,12 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::sim::echo::{EchoMode, SimEchoService};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
+    use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
     use wsd_soap::rpc as soap_rpc;
     use wsd_wsa::{EndpointReference, WsaHeaders};
-    use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
 
     /// Sends `total` one-way echo requests, paced by 202 acks; records
     /// replies POSTed to its callback listener.
@@ -709,15 +610,14 @@ mod tests {
                     ctx.send(conn, msg).unwrap();
                     self.sent += 1;
                 }
-                ProcEvent::Message { conn, bytes }
-                    if bytes.starts_with(b"HTTP/1.1 202") => {
-                        *self.got_acks.borrow_mut() += 1;
-                        if self.sent < self.total {
-                            let msg = self.request(self.sent);
-                            let _ = ctx.send(conn, msg);
-                            self.sent += 1;
-                        }
+                ProcEvent::Message { conn, bytes } if bytes.starts_with(b"HTTP/1.1 202") => {
+                    *self.got_acks.borrow_mut() += 1;
+                    if self.sent < self.total {
+                        let msg = self.request(self.sent);
+                        let _ = ctx.send(conn, msg);
+                        self.sent += 1;
                     }
+                }
                 _ => {}
             }
         }
@@ -849,17 +749,132 @@ mod tests {
         assert_eq!(echo_stats.accepted(), 5);
     }
 
+    /// An RPC-style service: answers each request `200` with the echoed
+    /// text and no WS-Addressing headers (Table 1 quadrant 3), except
+    /// that it closes its first connection on the first request, leaving
+    /// that request unanswered.
+    struct ClosesFirstRpcService {
+        closed_one: bool,
+    }
+
+    impl Process for ClosesFirstRpcService {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
+            let ProcEvent::Message { conn, bytes } = ev else {
+                return;
+            };
+            if !self.closed_one {
+                self.closed_one = true;
+                ctx.close(conn);
+                return;
+            }
+            let req = parse_request_bytes(&bytes).unwrap();
+            let env = wsd_soap::Envelope::parse(req.body_str().unwrap()).unwrap();
+            let text = soap_rpc::parse_echo(&env).unwrap();
+            let reply = soap_rpc::echo_response(env.version, &text);
+            let resp = Response::new(
+                Status::OK,
+                env.version.content_type(),
+                reply.to_xml().into_bytes(),
+            );
+            let _ = ctx.send(conn, response_payload(&resp));
+        }
+    }
+
+    /// Sends two one-way requests a second apart over one connection.
+    struct SpacedClient {
+        requests: OneWayClient,
+        conn: Option<ConnId>,
+    }
+
+    impl Process for SpacedClient {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
+            match ev {
+                ProcEvent::Start => {
+                    ctx.connect("dispatcher", 8080, SimDuration::from_secs(5));
+                }
+                ProcEvent::ConnEstablished { conn } => {
+                    self.conn = Some(conn);
+                    ctx.send(conn, self.requests.request(0)).unwrap();
+                    ctx.set_timer(SimDuration::from_secs(1), 1);
+                }
+                ProcEvent::Timer { .. } => {
+                    let conn = self.conn.unwrap();
+                    ctx.send(conn, self.requests.request(1)).unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn rpc_reply_after_a_lost_connection_relates_to_its_own_request() {
+        // Regression: a connection lost with request 0 unanswered left
+        // its id outstanding, so the `200` answering request 1 on the
+        // next connection was translated with `RelatesTo` request 0.
+        let mut sim = Simulation::new(1);
+        let disp_host = sim.add_host(HostConfig::named("dispatcher"));
+        let ws_host = sim.add_host(HostConfig::named("ws"));
+        let client_host = sim.add_host(HostConfig::named("client"));
+        let ws = sim.spawn(
+            ws_host,
+            Box::new(ClosesFirstRpcService { closed_one: false }),
+        );
+        sim.listen(ws, 8888);
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 9);
+        let dispatcher =
+            SimMsgDispatcher::new(core, SimDuration::from_millis(2), WsThreadConfig::default());
+        let stats = dispatcher.stats();
+        let dp = sim.spawn(disp_host, Box::new(dispatcher));
+        sim.listen(dp, 8080);
+        let got = Rc::new(RefCell::new(vec![]));
+        let sink = sim.spawn(client_host, Box::new(ReplySink { got: got.clone() }));
+        sim.listen(sink, 9000);
+        let reply_to = "http://client:9000/cb".to_string();
+        sim.spawn(
+            client_host,
+            Box::new(SpacedClient {
+                requests: OneWayClient {
+                    total: 2,
+                    sent: 0,
+                    reply_to: reply_to.clone(),
+                    got_acks: Rc::new(RefCell::new(0)),
+                },
+                conn: None,
+            }),
+        );
+        sim.run();
+        let got = got.borrow();
+        let reply_echoing = |text: &str| {
+            let hits: Vec<&String> = got.iter().filter(|r| r.contains(text)).collect();
+            assert_eq!(hits.len(), 1, "exactly one reply echoing {text}: {got:?}");
+            hits[0].clone()
+        };
+        let (id0, id1) = (
+            "uuid:http://client:9000/cb-0",
+            "uuid:http://client:9000/cb-1",
+        );
+        let r0 = reply_echoing(">m0<");
+        let r1 = reply_echoing(">m1<");
+        assert!(r0.contains(id0) && !r0.contains(id1), "{r0}");
+        assert!(r1.contains(id1) && !r1.contains(id0), "{r1}");
+        assert_eq!(stats.replies_routed(), 2);
+        assert_eq!(
+            stats.delivered(),
+            4,
+            "two forwards and two replies, none counted twice"
+        );
+    }
+
     #[test]
     fn unroutable_message_gets_400() {
         let mut sim = Simulation::new(1);
         let disp_host = sim.add_host(HostConfig::named("dispatcher"));
         let client_host = sim.add_host(HostConfig::named("client"));
         let core = MsgCore::new(Arc::new(Registry::new()), "http://dispatcher:8080/msg", 9);
-        let dispatcher = SimMsgDispatcher::new(
-            core,
-            SimDuration::from_millis(1),
-            WsThreadConfig::default(),
-        );
+        let dispatcher =
+            SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8080);

@@ -68,32 +68,42 @@ impl<S: Stream> HttpClient<S> {
         reqs: impl IntoIterator<Item = &'a Request>,
         buf: &mut Vec<u8>,
     ) -> Result<Vec<Response>, HttpError> {
+        let n = self.send_pipelined(reqs, buf)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.read_response()?);
+        }
+        Ok(out)
+    }
+
+    /// The write half of [`call_pipelined`](Self::call_pipelined): every
+    /// request is serialized into `buf` and written with a single flush.
+    /// Returns how many were written; read their responses with
+    /// [`read_response`](Self::read_response), one per request, so a
+    /// caller learns exactly which requests were answered before a
+    /// connection failure.
+    pub fn send_pipelined<'a>(
+        &mut self,
+        reqs: impl IntoIterator<Item = &'a Request>,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, HttpError> {
         if self.exhausted {
             return Err(HttpError::Closed);
         }
         buf.clear();
-        let mut keep = true;
         let mut n = 0usize;
         for req in reqs {
             crate::serialize::request_bytes_into(buf, req);
-            keep &= req.keep_alive();
+            // A request asking to close ends keep-alive once its
+            // response is read; the rest of the batch still gets read.
+            self.exhausted |= !req.keep_alive();
             n += 1;
         }
-        if n == 0 {
-            return Ok(Vec::new()); // wsd-lint: allow(alloc-in-drain): empty Vec::new never touches the allocator
+        if n > 0 {
+            self.reader.stream_mut().write_all(buf)?;
+            self.reader.stream_mut().flush()?;
         }
-        self.reader.stream_mut().write_all(buf)?;
-        self.reader.stream_mut().flush()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let resp = self.reader.read_response(&self.limits)?;
-            keep &= resp.keep_alive();
-            out.push(resp);
-        }
-        if !keep {
-            self.exhausted = true;
-        }
-        Ok(out)
+        Ok(n)
     }
 
     /// Sends a request without waiting for any response (one-way
@@ -107,9 +117,13 @@ impl<S: Stream> HttpClient<S> {
         Ok(())
     }
 
-    /// Reads one response (pairs with [`send_only`](Self::send_only)).
+    /// Reads one response (pairs with [`send_only`](Self::send_only) and
+    /// [`send_pipelined`](Self::send_pipelined)). A response with
+    /// `Connection: close` ends keep-alive.
     pub fn read_response(&mut self) -> Result<Response, HttpError> {
-        self.reader.read_response(&self.limits)
+        let resp = self.reader.read_response(&self.limits)?;
+        self.exhausted |= !resp.keep_alive();
+        Ok(resp)
     }
 }
 
@@ -219,6 +233,36 @@ mod tests {
         assert_eq!(resps.len(), 1);
         drop(c);
         assert_eq!(h.join().unwrap().unwrap(), 5);
+    }
+
+    #[test]
+    fn pipelined_reads_report_answers_before_a_server_close() {
+        let (client, server) = duplex(1 << 16);
+        let h = thread::spawn(move || {
+            let mut seen = 0;
+            serve_connection(server, &Limits::default(), |req| {
+                seen += 1;
+                let mut resp = echo_handler(req);
+                if seen == 2 {
+                    resp.headers.set("Connection", "close");
+                }
+                resp
+            })
+        });
+        let mut c = HttpClient::new(client);
+        let reqs: Vec<Request> = (0..3)
+            .map(|i| Request::soap_post("h", "/", "text/xml", format!("m{i}").into_bytes()))
+            .collect();
+        let mut buf = Vec::new();
+        assert_eq!(c.send_pipelined(reqs.iter(), &mut buf).unwrap(), 3);
+        assert_eq!(c.read_response().unwrap().body, b"m0");
+        assert_eq!(c.read_response().unwrap().body, b"m1");
+        assert!(!c.reusable(), "the close ends keep-alive");
+        assert!(
+            c.read_response().is_err(),
+            "the third request was never answered"
+        );
+        assert_eq!(h.join().unwrap().unwrap(), 2);
     }
 
     #[test]
